@@ -23,12 +23,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 fn run_figure(bin: &str, ops: &str, out_dir: &Path) {
-    run_figure_args(bin, &["--ops", ops], out_dir);
-}
-
-fn run_figure_args(bin: &str, args: &[&str], out_dir: &Path) {
     let status = Command::new(bin)
-        .args(args)
+        .args(["--ops", ops])
         .env("BENCH_OUT_DIR", out_dir)
         .status()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
@@ -69,44 +65,5 @@ fn fig13_faults_bytes_are_identical() {
 fn fig14_fabric_bytes_are_identical() {
     let out = scratch_dir("fig14");
     run_figure(env!("CARGO_BIN_EXE_fig14_fabric"), "60000", &out);
-    assert_bytes_identical(&out, "fig14_fabric.csv");
-}
-
-/// The datapath axis of the same goldens: `--datapath reference` swaps the
-/// staged batch pipeline for the retained per-op walk on every machine the
-/// harness builds. The goldens predate the batch rewrite, so each figure
-/// passing under *both* datapaths is an end-to-end byte-identity proof —
-/// the in-process 2×2 sweep lives in simarch/tests/datapath_equivalence.rs,
-/// this pins the full figure pipeline (scenario grid, CSV writer included).
-#[test]
-fn fig6_stall_breakdown_reference_datapath_bytes_are_identical() {
-    let out = scratch_dir("fig6_refdp");
-    run_figure_args(
-        env!("CARGO_BIN_EXE_fig6_stall_breakdown"),
-        &["--ops", "60000", "--datapath", "reference"],
-        &out,
-    );
-    assert_bytes_identical(&out, "fig6_stall_breakdown.csv");
-}
-
-#[test]
-fn fig13_faults_reference_datapath_bytes_are_identical() {
-    let out = scratch_dir("fig13_refdp");
-    run_figure_args(
-        env!("CARGO_BIN_EXE_fig13_faults"),
-        &["--ops", "250000", "--datapath", "reference"],
-        &out,
-    );
-    assert_bytes_identical(&out, "fig13_faults.csv");
-}
-
-#[test]
-fn fig14_fabric_reference_datapath_bytes_are_identical() {
-    let out = scratch_dir("fig14_refdp");
-    run_figure_args(
-        env!("CARGO_BIN_EXE_fig14_fabric"),
-        &["--ops", "60000", "--datapath", "reference"],
-        &out,
-    );
     assert_bytes_identical(&out, "fig14_fabric.csv");
 }

@@ -169,7 +169,7 @@ impl Fleet {
             let end = start.saturating_add(per).min(cfg.hosts);
             let mut hosts = Vec::with_capacity((end - start) as usize);
             for id in start..end {
-                hosts.push(HostSim::new(id, cfg.seed, columns, cfg.datapath)?);
+                hosts.push(HostSim::new(id, cfg.seed, columns)?);
             }
             let (tx, cmd_rx) = channel();
             let worker_cfg = cfg.clone();

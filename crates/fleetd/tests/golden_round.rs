@@ -20,7 +20,7 @@ fn golden_path() -> PathBuf {
 
 /// One fixed-seed fleet round matrix: 5 hosts (covers all four FLEET_APPS
 /// and both placement policies), 2 shards, 3 rounds of 2 epochs.
-fn run_fixed_fleet(datapath: simarch::DatapathMode) -> String {
+fn run_fixed_fleet() -> String {
     let cfg = FleetConfig {
         hosts: 5,
         shards: 2,
@@ -28,7 +28,6 @@ fn run_fixed_fleet(datapath: simarch::DatapathMode) -> String {
         epochs_per_round: 2,
         retention_rounds: 0,
         record_streams: true,
-        datapath,
     };
     let mut fleet = Fleet::launch(cfg).expect("launch fleet");
     for _ in 0..3 {
@@ -41,7 +40,7 @@ fn run_fixed_fleet(datapath: simarch::DatapathMode) -> String {
 
 #[test]
 fn fixed_seed_round_streams_match_golden_bytes() {
-    let dump = run_fixed_fleet(simarch::DatapathMode::Batched);
+    let dump = run_fixed_fleet();
     assert!(!dump.is_empty(), "streams were recorded");
     if std::env::var_os("FLEETD_GOLDEN_REFRESH").is_some() {
         std::fs::create_dir_all(golden_path().parent().expect("golden parent"))
@@ -55,23 +54,5 @@ fn fixed_seed_round_streams_match_golden_bytes() {
         dump == want,
         "fleetd fixed-seed round diverged from its pre-wheel golden\n\
          --- golden ---\n{want}\n--- fresh ---\n{dump}",
-    );
-}
-
-/// The datapath axis of the same golden: the retained per-op reference
-/// walk must reproduce the identical stream bytes the (default) batched
-/// pipeline records. Together with the test above this proves
-/// batched == reference end to end through fleet mode — shards, tsdb
-/// ingest and the CSV recorder included.
-#[test]
-fn fixed_seed_round_streams_are_datapath_invariant() {
-    let reference = run_fixed_fleet(simarch::DatapathMode::Reference);
-    assert!(!reference.is_empty(), "streams were recorded");
-    let want = std::fs::read_to_string(golden_path())
-        .expect("read golden fleet_round.csv (run once with FLEETD_GOLDEN_REFRESH=1)");
-    assert!(
-        reference == want,
-        "reference-datapath fleetd round diverged from the golden\n\
-         --- golden ---\n{want}\n--- reference ---\n{reference}",
     );
 }

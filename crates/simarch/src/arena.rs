@@ -210,104 +210,6 @@ impl<V: Copy + Default> LineMap<V> {
     }
 }
 
-/// A struct-of-arrays buffer of decoded trace operations — the gather
-/// stage of the batched datapath (`DatapathMode::Batched`).
-///
-/// Each core's `Machine`-owned ring is refilled in chunks from the trace
-/// (one virtual `fill_ops` call per chunk instead of one `next_op` call
-/// per op) and drained front-to-back by the slice executor. Fields are
-/// parallel flat vectors (`arena.rs` style): the kind is packed to one
-/// byte so a refill touches three dense arrays and the backing storage
-/// reaches steady-state capacity after the first chunk — no per-op
-/// allocation on the hot path.
-///
-/// Determinism: the ring is strictly FIFO, so buffering never reorders
-/// the op stream; only *when* ops are decoded changes, never which op
-/// executes next.
-#[derive(Debug, Default)]
-pub struct OpRing {
-    /// Virtual addresses, parallel to `kinds`/`works`. Ops are buffered
-    /// by *virtual* address and translated at execution time, so a page
-    /// migration between refill and execution behaves exactly as in the
-    /// unbuffered reference walk.
-    vaddrs: Vec<u64>,
-    /// Packed [`AccessKind`](crate::request::AccessKind) per op.
-    kinds: Vec<u8>,
-    /// `work` cycles per op.
-    works: Vec<u32>,
-    /// Next op to execute; the ring is empty when `head == vaddrs.len()`.
-    head: usize,
-}
-
-const KIND_LOAD: u8 = 0;
-const KIND_DEP_LOAD: u8 = 1;
-const KIND_STORE: u8 = 2;
-const KIND_SWPF: u8 = 3;
-
-impl OpRing {
-    pub fn new() -> Self {
-        OpRing::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.vaddrs.len() - self.head
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.head == self.vaddrs.len()
-    }
-
-    /// Drop any buffered ops (workload re-attachment).
-    pub fn clear(&mut self) {
-        self.vaddrs.clear();
-        self.kinds.clear();
-        self.works.clear();
-        self.head = 0;
-    }
-
-    /// Append one decoded op. Amortized allocation-free: the backing
-    /// vectors keep their chunk-sized capacity across refills.
-    // pflint::hot — gather pass of the batched datapath.
-    #[inline]
-    pub fn push(&mut self, op: crate::request::MemOp) {
-        use crate::request::AccessKind;
-        if self.head == self.vaddrs.len() {
-            // Fully drained: rewind instead of growing without bound.
-            self.clear();
-        }
-        self.vaddrs.push(op.vaddr);
-        self.works.push(op.work);
-        self.kinds.push(match op.kind {
-            AccessKind::Load { dependent: false } => KIND_LOAD,
-            AccessKind::Load { dependent: true } => KIND_DEP_LOAD,
-            AccessKind::Store => KIND_STORE,
-            AccessKind::SwPrefetch => KIND_SWPF,
-        });
-    }
-
-    /// The next buffered op, front-to-back.
-    // pflint::hot — per-op pull of the batched datapath.
-    #[inline]
-    pub fn pop(&mut self) -> Option<crate::request::MemOp> {
-        use crate::request::{AccessKind, MemOp};
-        if self.head == self.vaddrs.len() {
-            return None;
-        }
-        let i = self.head;
-        self.head += 1;
-        Some(MemOp {
-            vaddr: self.vaddrs[i],
-            work: self.works[i],
-            kind: match self.kinds[i] {
-                KIND_LOAD => AccessKind::Load { dependent: false },
-                KIND_DEP_LOAD => AccessKind::Load { dependent: true },
-                KIND_STORE => AccessKind::Store,
-                _ => AccessKind::SwPrefetch,
-            },
-        })
-    }
-}
-
 /// A struct-of-arrays pool of in-flight requests: each live request is a
 /// slot holding its line address and completion cycle, slots are recycled
 /// through a free list, and a [`LineMap`] indexes line → slot for the
@@ -495,46 +397,6 @@ mod tests {
         }
         // Steady state: the backing arrays never exceeded one round.
         assert!(p.lines.len() <= 64, "arena grew to {}", p.lines.len());
-    }
-
-    #[test]
-    fn op_ring_roundtrips_all_kinds_in_order() {
-        use crate::request::{AccessKind, MemOp};
-        let mut r = OpRing::new();
-        let ops = [
-            MemOp::load(64).with_work(3),
-            MemOp::dependent_load(128),
-            MemOp::store(192).with_work(7),
-            MemOp::swpf(256),
-        ];
-        for op in ops {
-            r.push(op);
-        }
-        assert_eq!(r.len(), 4);
-        for op in ops {
-            assert_eq!(r.pop(), Some(op));
-        }
-        assert!(r.is_empty());
-        assert_eq!(r.pop(), None);
-        // Mixed dependent flags survive the packed-kind encoding.
-        assert_eq!(ops[1].kind, AccessKind::Load { dependent: true });
-    }
-
-    #[test]
-    fn op_ring_rewinds_instead_of_growing() {
-        use crate::request::MemOp;
-        let mut r = OpRing::new();
-        for round in 0..50u64 {
-            for i in 0..64u64 {
-                r.push(MemOp::load(round * 4096 + i * 64));
-            }
-            while r.pop().is_some() {}
-        }
-        assert!(
-            r.vaddrs.capacity() <= 128,
-            "ring grew to {}",
-            r.vaddrs.capacity()
-        );
     }
 
     #[test]

@@ -336,12 +336,6 @@ impl crate::module::SimModule for CoreState {
             + self.superq.occupancy_at(now)
             + self.pfq.occupancy_at(now)) as u64
     }
-
-    fn next_event(&self) -> Option<u64> {
-        // A core with trace ops left progresses at its pipeline time; a
-        // finished core never needs a wakeup.
-        (!self.done).then_some(self.time)
-    }
 }
 
 impl Invariants for CoreState {

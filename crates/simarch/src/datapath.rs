@@ -70,6 +70,9 @@ impl Machine {
     // Core stepping
     // -----------------------------------------------------------------
 
+    /// Execute `c`'s next trace op (or mark the core done): the per-op
+    /// entry point the epoch scheduler calls.
+    // pflint::hot — per-op dispatch; must not allocate.
     pub(crate) fn step_core(&mut self, c: usize) {
         // Pull the next op (short borrow of the trace).
         let op = {
@@ -124,6 +127,7 @@ impl Machine {
     }
 
     /// Demand load / software prefetch walk. `path` is `Drd` or `SwPf`.
+    // pflint::hot — per-load path; must not allocate.
     fn do_load(&mut self, c: usize, paddr: PhysAddr, dependent: bool, path: PathClass) {
         let line = paddr.line();
         let node = paddr.node();
@@ -247,6 +251,7 @@ impl Machine {
 
     /// L2 lookup and, on miss, the offcore walk. Returns
     /// `(finish_at_core, serve_loc, missed_l2, missed_l3)`.
+    // pflint::hot — per-L1-miss path; must not allocate.
     fn l2_and_beyond(
         &mut self,
         c: usize,
@@ -322,7 +327,7 @@ impl Machine {
     /// prefetchers observe the demand-miss stream itself — including misses
     /// that merge into in-flight fills — so this is called from the L1D
     /// miss path, not from the L2 lookup (a merged miss never reaches L2).
-    pub(crate) fn train_prefetcher(&mut self, c: usize, line: u64, node: MemNode, at: u64) {
+    fn train_prefetcher(&mut self, c: usize, line: u64, node: MemNode, at: u64) {
         // Reuse the machine-owned scratch: `issue_l2_prefetch` re-borrows
         // `self`, so the buffer is moved out for the duration of the loop.
         let mut buf = std::mem::take(&mut self.pf_scratch);
@@ -334,7 +339,7 @@ impl Machine {
         self.pf_scratch = buf;
     }
 
-    pub(crate) fn count_l2_miss(&mut self, c: usize, path: PathClass) {
+    fn count_l2_miss(&mut self, c: usize, path: PathClass) {
         let bank = &mut self.pmu.cores[c];
         bank.inc(CoreEvent::L2RqstsMiss);
         bank.inc(CoreEvent::OffcoreRequestsAllRequests);
@@ -363,7 +368,8 @@ impl Machine {
 
     /// The uncore walk: mesh → CHA (LLC + SF + TOR) → peer / IMC / CXL.
     /// Returns `(finish_at_core, serve_loc, missed_l3)`.
-    pub(crate) fn offcore_access(
+    // pflint::hot — per-L2-miss path; must not allocate.
+    fn offcore_access(
         &mut self,
         c: usize,
         line: u64,
@@ -685,14 +691,7 @@ impl Machine {
 
     /// Fill L1D, spilling dirty victims into L2 (and onward). `now` times
     /// the spill traffic (see [`Self::cha_fill`]).
-    pub(crate) fn fill_l1(
-        &mut self,
-        c: usize,
-        line: u64,
-        state: LineState,
-        ready_at: u64,
-        now: u64,
-    ) {
+    fn fill_l1(&mut self, c: usize, line: u64, state: LineState, ready_at: u64, now: u64) {
         let ev = self.cores[c].l1d.insert(line, state, ready_at, false);
         if let Some(Eviction {
             line_addr, state, ..
@@ -712,7 +711,7 @@ impl Machine {
     }
 
     /// Fill L2, spilling victims toward the LLC.
-    pub(crate) fn fill_l2(
+    fn fill_l2(
         &mut self,
         c: usize,
         line: u64,
@@ -746,7 +745,7 @@ impl Machine {
 
     /// L1 next-line prefetch: cheap fill from L2 if present, else a full
     /// offcore HWPF.L1 walk.
-    pub(crate) fn issue_l1_prefetch(&mut self, c: usize, line: u64, node: MemNode, at: u64) {
+    fn issue_l1_prefetch(&mut self, c: usize, line: u64, node: MemNode, at: u64) {
         if self.cores[c].l1d.peek(line).is_some() {
             return;
         }
@@ -783,8 +782,9 @@ impl Machine {
     /// `blocked` carries window-full stall cycles already spent before the
     /// walk; hardware attributes those to the same nested stall counters
     /// (the core was stalled while a miss of this depth was outstanding).
+    // pflint::hot — per-load tail; must not allocate.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_load(
+    fn finish_load(
         &mut self,
         c: usize,
         t_issue: u64,
@@ -844,6 +844,7 @@ impl Machine {
     }
 
     /// Demand store: SB admission, then L1 write or RFO.
+    // pflint::hot — per-store path; must not allocate.
     fn do_store(&mut self, c: usize, paddr: PhysAddr) {
         let line = paddr.line();
         let node = paddr.node();

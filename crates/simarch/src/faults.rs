@@ -200,18 +200,6 @@ impl FaultPlan {
         self.windows.iter().filter(move |w| w.covers(epoch))
     }
 
-    /// The next epoch strictly after `epoch` at which the active-window
-    /// set can change (a window starting or expiring). The quiescence
-    /// skipper wakes at every such edge so a fault landing inside an
-    /// otherwise-idle stretch is applied on exactly the right epoch.
-    pub fn next_edge(&self, epoch: u64) -> Option<u64> {
-        self.windows
-            .iter()
-            .flat_map(|w| [w.start_epoch, w.end_epoch])
-            .filter(|&e| e > epoch)
-            .min()
-    }
-
     /// Expand `n` windows from a seed, valid for `cfg` and confined to the
     /// first `horizon_epochs` epochs. Same `(seed, n, cfg, horizon)` ⇒
     /// byte-identical plan on every platform.

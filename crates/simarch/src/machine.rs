@@ -3,11 +3,11 @@
 //! `Machine` composes the stage modules of Figure 1 — cores (SB/LFB/L1D/L2),
 //! the CHA complex, the IMC, the remote socket, and the CXL ports — behind
 //! the [`SimModule`] trait and a validated [`Topology`]. The epoch scheduler
-//! here is generic: it steps the globally-earliest core until the boundary,
-//! then walks the stage list in ascending [`crate::module::StageId`] order,
-//! ticking and draining each module into the system PMU. The intra-epoch
-//! demand walk (what a load actually does between boundaries) lives in
-//! `datapath.rs`.
+//! here is generic: it steps the globally-earliest core one op at a time
+//! until the boundary, then walks the stage list in ascending
+//! [`crate::module::StageId`] order, ticking and draining each module into
+//! the system PMU. The intra-epoch demand walk (what a load actually does
+//! between boundaries) lives in `datapath.rs`.
 //!
 //! At the end of each scheduling epoch (§4.2) the machine produces a
 //! [`pmu::SystemSnapshot`] — the input to all four PathFinder techniques.
@@ -24,37 +24,7 @@ use crate::mem::MemNode;
 use crate::module::{SimModule, StageId, StageKind, Topology};
 use crate::remote::RemoteSocket;
 use crate::trace::Workload;
-use crate::wheel::EventWheel;
 use pmu::{SystemPmu, SystemSnapshot};
-
-/// Which core-stepping scheduler `run_epoch` uses. The two are proven
-/// equivalent (identical counter streams) by `tests/scheduler_equivalence.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Event-wheel scheduler: cores are keyed on their next progress tick
-    /// in an [`EventWheel`] and popped in `(tick, StageId)` order; idle
-    /// stretches are skipped instead of polled. The default.
-    Wheel,
-    /// The original per-step argmin scan over every core — retained as the
-    /// executable specification the wheel is differenced against.
-    Reference,
-}
-
-/// Which per-op datapath `step_core`-level execution uses. The two are
-/// proven equivalent (identical counter streams) across the full
-/// `SchedMode × DatapathMode` matrix by `tests/datapath_equivalence.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DatapathMode {
-    /// Staged batch pipeline (`batch.rs`): each scheduled core runs a
-    /// *slice* of consecutive ops pulled chunk-wise from the trace into a
-    /// machine-owned [`crate::arena::OpRing`], executed through stage-pass
-    /// functions with combined single-search cache probes. The default.
-    Batched,
-    /// The original one-op-per-schedule walk (`datapath.rs`) — retained
-    /// verbatim as the executable specification the batched pipeline is
-    /// differenced against.
-    Reference,
-}
 
 /// Result of running one scheduling epoch.
 pub struct EpochResult {
@@ -176,15 +146,6 @@ pub struct Machine {
     /// Which tenant host this machine is in a multi-host fabric.
     /// `HostId(0)` for a standalone machine.
     host: crate::request::HostId,
-    /// Core-stepping scheduler (see [`SchedMode`]).
-    sched: SchedMode,
-    /// Per-op datapath (see [`DatapathMode`]).
-    datapath: DatapathMode,
-    /// The wakeup wheel of the event-wheel scheduler; reset each epoch.
-    wheel: EventWheel<StageId>,
-    /// Per-core op buffers of the batched datapath's gather pass; drained
-    /// FIFO, so buffering never reorders a trace.
-    pub(crate) rings: Vec<crate::arena::OpRing>,
     /// Snapshot pool: a retired end-of-epoch snapshot handed back via
     /// [`Machine::recycle_snapshot`]. The next `run_epoch` overwrites it in
     /// place instead of cloning every bank afresh.
@@ -239,12 +200,6 @@ impl Machine {
             fault_dropout: Vec::new(),
             workload_gen: 0,
             host: crate::request::HostId(0),
-            sched: SchedMode::Wheel,
-            datapath: DatapathMode::Batched,
-            wheel: EventWheel::new(0),
-            rings: (0..cfg.cores)
-                .map(|_| crate::arena::OpRing::new())
-                .collect(),
             spare_snapshot: None,
             cfg,
         }
@@ -256,28 +211,6 @@ impl Machine {
     /// returned snapshots are byte-identical either way.
     pub fn recycle_snapshot(&mut self, snapshot: SystemSnapshot) {
         self.spare_snapshot = Some(snapshot);
-    }
-
-    /// Select the core-stepping scheduler. Both modes produce identical
-    /// counter streams; `Reference` exists for the differential harness
-    /// and for bisecting any future wheel regression.
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched = mode;
-    }
-
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched
-    }
-
-    /// Select the per-op datapath. Both modes produce identical counter
-    /// streams; `Reference` exists for the differential harness and for
-    /// bisecting any future batching regression.
-    pub fn set_datapath_mode(&mut self, mode: DatapathMode) {
-        self.datapath = mode;
-    }
-
-    pub fn datapath_mode(&self) -> DatapathMode {
-        self.datapath
     }
 
     /// This machine's tenant identity within a fabric (`HostId(0)` when
@@ -330,10 +263,8 @@ impl Machine {
             "cxl device out of range"
         );
         self.cores[core].attach(workload, core as u16);
-        // A freshly attached core starts at the current epoch boundary
-        // with an empty op buffer.
+        // A freshly attached core starts at the current epoch boundary.
         self.cores[core].time = self.epoch_end;
-        self.rings[core].clear();
         self.workload_gen += 1;
     }
 
@@ -483,9 +414,16 @@ impl Machine {
         let end = self.epoch_end + self.cfg.epoch_cycles;
         {
             let _step = obs::span!("epoch.step");
-            match self.sched {
-                SchedMode::Wheel => self.wheel_step_loop(end),
-                SchedMode::Reference => self.reference_step_loop(end),
+            // Step the globally-earliest eligible core, one op at a time,
+            // so shared-resource arrivals interleave in near-perfect time
+            // order; ties break to the lowest core index (`min_by_key`
+            // keeps the first minimum).
+            loop {
+                let next = (0..self.cores.len())
+                    .filter(|&i| !self.cores[i].done && self.cores[i].time < end)
+                    .min_by_key(|&i| self.cores[i].time);
+                let Some(c) = next else { break };
+                self.step_core(c);
             }
         }
         {
@@ -582,141 +520,13 @@ impl Machine {
         }
     }
 
-    /// Reference scheduler: the per-step argmin scan over every core. Runs
-    /// the globally-earliest core so shared-resource arrivals are
-    /// interleaved in near-perfect time order; ties break to the lowest
-    /// core index. This is the executable specification of the step order —
-    /// the wheel scheduler must match it exactly.
-    fn reference_step_loop(&mut self, end: u64) {
-        loop {
-            let next = (0..self.cores.len())
-                .filter(|&i| !self.cores[i].done && self.cores[i].time < end)
-                .min_by_key(|&i| self.cores[i].time);
-            let Some(c) = next else { break };
-            match self.datapath {
-                DatapathMode::Batched => self.run_core_slice(c, end),
-                DatapathMode::Reference => self.step_core(c),
-            }
-        }
-    }
-
-    /// Event-wheel scheduler: every core with a progress tick before the
-    /// boundary is keyed on it; pops come back in `(tick, StageId)` order,
-    /// which is the reference order (earliest time first, lowest core index
-    /// on ties — core `StageId`s order by index). Equivalence holds because
-    /// stepping a core never moves another core's time, so the next argmin
-    /// is always either the re-scheduled core or an undisturbed key already
-    /// in the wheel.
-    // pflint::hot — the simulator's innermost scheduling loop.
-    fn wheel_step_loop(&mut self, end: u64) {
-        self.wheel.reset(self.epoch_end);
-        for i in 0..self.cores.len() {
-            if let Some(t) = self.cores[i].next_event() {
-                if t < end {
-                    self.wheel.schedule(t, StageId::core(i));
-                }
-            }
-        }
-        while let Some((_, id)) = self.wheel.pop_before(end) {
-            let c = id.index as usize;
-            match self.datapath {
-                DatapathMode::Batched => self.run_core_slice(c, end),
-                DatapathMode::Reference => self.step_core(c),
-            }
-            if let Some(t) = self.cores[c].next_event() {
-                if t < end {
-                    self.wheel.schedule(t, id);
-                }
-            }
-        }
-    }
-
-    /// How many whole upcoming epochs are quiescent — no core eligible, no
-    /// fault window active — or `None` if the next epoch has work. The
-    /// count is clamped to `cap` and to the next fault-window edge, so a
-    /// window starting inside an idle stretch is still applied on exactly
-    /// the right epoch.
-    fn quiescent_epochs(&self, cap: u64) -> Option<u64> {
-        let ec = self.cfg.epoch_cycles;
-        let next = self
-            .cores
-            .iter()
-            .filter_map(crate::module::SimModule::next_event)
-            .min()?;
-        let j = (next - self.epoch_end) / ec;
-        if j == 0 {
-            return None;
-        }
-        let mut j = j.min(cap);
-        if !self.faults.is_empty() {
-            // Active windows mutate per-epoch state (stall horizons are
-            // `now`-relative) — never skip through one.
-            if self.faults.active(self.epochs_run).next().is_some() {
-                return None;
-            }
-            if let Some(edge) = self.faults.next_edge(self.epochs_run) {
-                j = j.min(edge - self.epochs_run);
-            }
-        }
-        (j > 0).then_some(j)
-    }
-
-    /// Fast-forward `j` epochs in which nothing can happen. Byte-identical
-    /// to `j` calls of [`Machine::run_epoch`] with the results discarded:
-    /// core ticks keep their per-boundary schedule (in-flight GC timing is
-    /// behavioral — a stale entry reads as a prefetch hit), uncore ticks
-    /// are no-ops, and every drain term is either linear in `epoch_cycles`
-    /// (clock ticks) or a since-last-sync delta, so one batched drain per
-    /// stage replaces `j` unit drains exactly.
-    fn skip_quiescent_epochs(&mut self, j: u64) {
-        let _s = obs::span!("epoch.skip");
-        let ec = self.cfg.epoch_cycles;
-        for k in 1..=j {
-            let boundary = self.epoch_end + ec * k;
-            for c in &mut self.cores {
-                crate::module::SimModule::tick(c, boundary);
-            }
-        }
-        let end = self.epoch_end + ec * j;
-        {
-            let Machine {
-                cores,
-                cha,
-                imc,
-                remote,
-                ports,
-                pmu,
-                ..
-            } = self;
-            for stage in stage_modules(cores, cha, imc, remote, ports) {
-                stage.tick(end);
-                stage.drain(pmu, ec * j);
-            }
-        }
-        self.epoch_end = end;
-        self.epochs_run += j;
-        obs::metrics::counter_add("epoch.skipped", j);
-    }
-
     /// Run until all workloads finish or `max_epochs` elapse. Errors when no
     /// module makes forward progress across enough consecutive epochs that
     /// every pending core must have been eligible (a wedged machine).
-    ///
-    /// Under the wheel scheduler, stretches of whole epochs in which no
-    /// core is eligible (every pending core is catching up beyond the
-    /// boundary after a long operation) are fast-forwarded instead of
-    /// polled epoch by epoch — see [`Machine::skip_quiescent_epochs`].
     pub fn run_to_completion(&mut self, max_epochs: u64) -> Result<RunSummary, StallError> {
         let mut epochs = 0;
         let mut guard = ProgressGuard::default();
         while !self.all_done() && epochs < max_epochs {
-            if self.sched == SchedMode::Wheel {
-                if let Some(j) = self.quiescent_epochs(max_epochs - epochs) {
-                    self.skip_quiescent_epochs(j);
-                    epochs += j;
-                    continue;
-                }
-            }
             let done_before = self.cores.iter().filter(|c| c.done).count();
             let e = self.run_epoch();
             epochs += 1;

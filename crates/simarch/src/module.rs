@@ -145,17 +145,6 @@ pub trait SimModule: Invariants {
     /// FIFO-server stages). A scheduler-visible congestion signal; not a
     /// PMU counter.
     fn occupancy(&self, now: u64) -> u64;
-
-    /// The next tick at which this stage makes self-driven progress, or
-    /// `None` if it only ever reacts to requests pushed into it. The
-    /// event-wheel scheduler keys each stage on this: a `None` stage is
-    /// never polled — it advances for free inside `tick`/`drain` at the
-    /// boundary — while a `Some(t)` stage is woken exactly at `t`.
-    /// Cores (the only self-driven stages: they own the trace cursors)
-    /// return their pipeline time; every uncore stage takes the default.
-    fn next_event(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Mark a module's counter list as registered. Debug builds verify every

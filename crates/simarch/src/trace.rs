@@ -1,6 +1,5 @@
 //! Workload attachment: trace sources and thread descriptors.
 
-use crate::arena::OpRing;
 use crate::config::MemPolicy;
 use crate::request::MemOp;
 
@@ -17,26 +16,6 @@ pub trait TraceSource: Send {
     /// Virtual address-space size this trace touches, in bytes. The machine
     /// sizes the thread's page table from this.
     fn footprint(&self) -> usize;
-
-    /// Decode up to `max` ops into `ring`, returning how many were pushed.
-    /// `0` means the trace is finished (a [`TraceSource`] is terminal: once
-    /// `next_op` returns `None` it stays `None`).
-    ///
-    /// The batched datapath's gather pass calls this once per chunk through
-    /// the `Box<dyn TraceSource>`, replacing one virtual call per op with
-    /// one per chunk. Default methods are monomorphized per implementing
-    /// type, so the `next_op` calls *inside* this body dispatch statically
-    /// even when invoked through the trait object.
-    // pflint::hot — gather pass of the batched datapath.
-    fn fill_ops(&mut self, ring: &mut OpRing, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some(op) = self.next_op() else { break };
-            ring.push(op);
-            n += 1;
-        }
-        n
-    }
 }
 
 /// A workload thread pinned to a core with a memory placement policy
@@ -161,25 +140,6 @@ mod tests {
         assert!(addrs.iter().all(|&a| a < 256));
         assert_eq!(addrs[0], 0);
         assert_eq!(addrs[4], 0); // wrapped after 4 lines of 64B
-    }
-
-    #[test]
-    fn fill_ops_matches_per_op_pulls_and_signals_exhaustion() {
-        use crate::arena::OpRing;
-        let mut a = SeqReadTrace::new(1 << 12, 10);
-        let mut b = SeqReadTrace::new(1 << 12, 10);
-        let mut ring = OpRing::new();
-        // First chunk is bounded by `max`, second by the trace tail.
-        assert_eq!(a.fill_ops(&mut ring, 7), 7);
-        for _ in 0..7 {
-            assert_eq!(ring.pop(), b.next_op());
-        }
-        assert_eq!(a.fill_ops(&mut ring, 7), 3);
-        for _ in 0..3 {
-            assert_eq!(ring.pop(), b.next_op());
-        }
-        assert_eq!(a.fill_ops(&mut ring, 7), 0, "terminal trace refills empty");
-        assert_eq!(b.next_op(), None);
     }
 
     #[test]

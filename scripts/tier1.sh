@@ -12,17 +12,12 @@ run() {
 
 run cargo build --release
 run cargo test -q
-# Scheduler differential gate (DESIGN.md §2.2.3): the event wheel and the
-# retained per-tick reference scheduler must emit byte-identical counter
-# streams across randomized scenario × fault-plan × topology matrices.
-# Already part of the workspace suite above; named here so a failure is
-# unmistakable in CI logs.
-run cargo test -q -p simarch --test scheduler_equivalence
-# Datapath differential gate (DESIGN.md §2.2.4): the staged batch pipeline
-# and the retained per-op reference walk must match byte-for-byte across
-# the full SchedMode × DatapathMode 2×2 grid, fabric topologies included.
-# This is also where the reference datapath is exercised in CI every run.
-run cargo test -q -p simarch --test datapath_equivalence
+# The benchmark (benchmark/, BENCHMARK.json) is a workspace of its own that
+# builds against the crates by path, so the workspace build above does not
+# see it. Build and test it here so a change to a public API it uses fails
+# tier-1 instead of the benchmark run.
+run cargo build --release --manifest-path benchmark/Cargo.toml
+run cargo test -q --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace -- -D warnings
 run cargo run --release -p pflint
@@ -75,10 +70,9 @@ diff -u "$obs_out/fabric_serial.txt" "$obs_out/fabric_jobs2.txt"
 # Perf gate (PERFORMANCE.md): BENCH_pr10.json must exist and its recorded
 # profiled throughput must not regress below the PR 9 baseline. The gate
 # reads the committed files — it does not re-measure — so it catches a
-# forgotten `scripts/bench.sh` run after perf-relevant changes. Both the
-# serial/--jobs 2 diffs above and the goldens ran under the event wheel
-# and the batched datapath (the defaults), so this is the last gate
-# specific to those hot paths.
+# forgotten `scripts/bench.sh` run after perf-relevant changes. Wall-clock
+# A/B comparisons against the parent commit are the benchmark's job
+# (benchmark/README.md); this gate only catches a stale results file.
 run cargo run --release -p bench --bin perfbench -- --gate BENCH_pr9.json
 
 # Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
