@@ -91,12 +91,18 @@ impl HostSim {
     pub fn advance(&mut self, epochs: u64, record_stream: bool) {
         let mut last = None;
         for _ in 0..epochs {
+            // Intermediate snapshots go straight back to the machine's
+            // pool, which overwrites them in place next epoch.
+            if let Some(snap) = last.take() {
+                self.machine.recycle_snapshot(snap);
+            }
             last = Some(self.machine.run_epoch().snapshot);
         }
         let Some(snap) = last else { return };
         let delta = snap.delta(&self.prev);
         accumulate(&delta, &mut self.totals);
-        self.prev = snap;
+        self.machine
+            .recycle_snapshot(std::mem::replace(&mut self.prev, snap));
         self.epochs_done += epochs;
         if record_stream {
             let _ = write!(self.stream, "{},{}", self.id, self.epochs_done);

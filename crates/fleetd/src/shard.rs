@@ -152,46 +152,71 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Build every host, partition them into contiguous shards, and spawn
-    /// one worker thread per shard.
+    /// Partition the hosts into contiguous shards and spawn one worker
+    /// thread per shard; each worker builds its own hosts and series, so
+    /// set-up runs in parallel. Returns once every worker reports ready.
+    /// If a thread fails to spawn or a host fails to build, every worker
+    /// already spawned is stopped and joined, and the first error is
+    /// returned.
     pub fn launch(cfg: FleetConfig) -> Result<Fleet, String> {
         cfg.validate()?;
         let names = Arc::new(host::counter_names());
-        let columns = names.len();
         let headline_idx = host::headline_indices();
         let per = u64::from(cfg.hosts).div_ceil(u64::from(cfg.shards)).max(1) as u32;
         let (report_tx, rx) = channel();
+        let (ready_tx, ready_rx) = channel();
         let mut txs = Vec::new();
         let mut handles = Vec::new();
         let mut start = 0u32;
         let mut shard_no = 0u32;
+        let mut spawn_error = None;
         while start < cfg.hosts {
             let end = start.saturating_add(per).min(cfg.hosts);
-            let mut hosts = Vec::with_capacity((end - start) as usize);
-            for id in start..end {
-                hosts.push(HostSim::new(id, cfg.seed, columns)?);
-            }
             let (tx, cmd_rx) = channel();
             let worker_cfg = cfg.clone();
             let worker_names = Arc::clone(&names);
             let report = report_tx.clone();
-            let handle = std::thread::Builder::new()
+            let ready = ready_tx.clone();
+            let spawned = std::thread::Builder::new()
                 .name(format!("fleetd-shard-{shard_no}"))
                 .spawn(move || {
                     worker_main(
                         worker_cfg,
                         worker_names,
                         headline_idx,
-                        hosts,
+                        start..end,
+                        ready,
                         cmd_rx,
                         report,
                     );
-                })
-                .map_err(|e| format!("cannot spawn shard {shard_no}: {e}"))?;
-            txs.push(tx);
-            handles.push(handle);
+                });
+            match spawned {
+                Ok(handle) => {
+                    txs.push(tx);
+                    handles.push(handle);
+                }
+                Err(e) => {
+                    spawn_error = Some(format!("cannot spawn shard {shard_no}: {e}"));
+                    break;
+                }
+            }
             start = end;
             shard_no += 1;
+        }
+        // Only the workers hold ready senders now, and each drops its own
+        // after one message, so a worker that dies mid-build ends the wait.
+        drop(ready_tx);
+        let ready = match spawn_error {
+            Some(e) => Err(e),
+            None => (0..handles.len()).try_for_each(|_| {
+                ready_rx
+                    .recv()
+                    .unwrap_or_else(|_| Err("shard worker died during set-up".to_string()))
+            }),
+        };
+        if let Err(e) = ready {
+            stop_workers(&txs, handles);
+            return Err(e);
         }
         Ok(Fleet {
             cfg,
@@ -344,12 +369,18 @@ impl Fleet {
 
     /// Stop the workers and join them.
     pub fn shutdown(self) {
-        for tx in &self.txs {
-            let _ = tx.send(Cmd::Stop);
-        }
-        for h in self.handles {
-            let _ = h.join();
-        }
+        stop_workers(&self.txs, self.handles);
+    }
+}
+
+/// Send every worker `Stop` and join them all. A worker that already
+/// exited just drops the command.
+fn stop_workers(txs: &[Sender<Cmd>], handles: Vec<JoinHandle<()>>) {
+    for tx in txs {
+        let _ = tx.send(Cmd::Stop);
+    }
+    for h in handles {
+        let _ = h.join();
     }
 }
 
@@ -440,15 +471,28 @@ pub fn raise_sigterm() {
     }
 }
 
-/// Shard worker body: owns its hosts and DB, answers commands until Stop.
+/// Shard worker body: builds its hosts and their series, reports once on
+/// `ready`, then owns the hosts and DB and answers commands until Stop. A
+/// build error ends the worker.
 fn worker_main(
     cfg: FleetConfig,
     names: Arc<Vec<String>>,
     headline_idx: [usize; 2],
-    mut hosts: Vec<HostSim>,
+    ids: std::ops::Range<u32>,
+    ready: Sender<Result<(), String>>,
     rx: Receiver<Cmd>,
     report: Sender<ShardReport>,
 ) {
+    let columns = names.len();
+    let built: Result<Vec<HostSim>, String> =
+        ids.map(|id| HostSim::new(id, cfg.seed, columns)).collect();
+    let mut hosts = match built {
+        Ok(hosts) => hosts,
+        Err(e) => {
+            let _ = ready.send(Err(e));
+            return;
+        }
+    };
     let mut db = Db::new();
     let fields: Vec<&str> = names.iter().map(String::as_str).collect();
     let tags: Vec<String> = hosts.iter().map(|h| h.id.to_string()).collect();
@@ -456,7 +500,8 @@ fn worker_main(
         .iter()
         .map(|t| db.series_handle("fleet_host", &[("host", t.as_str())], &fields))
         .collect();
-    let columns = names.len();
+    let _ = ready.send(Ok(()));
+    drop(ready);
     let mut values: Vec<f64> = Vec::with_capacity(columns);
     let mut rounds = 0u64;
     while let Ok(cmd) = rx.recv() {

@@ -86,6 +86,9 @@ pub enum ChaOutcome {
 struct DirEntry {
     owners: u64,
     dirty: bool,
+    /// Insertion sequence number: the `order` item carrying this value is
+    /// the entry's one live FIFO position.
+    seq: u64,
 }
 
 /// The snoop filter: a capacity-bounded coherence directory over all
@@ -99,10 +102,13 @@ struct DirEntry {
 #[derive(Debug, Default)]
 pub struct SnoopFilter {
     entries: crate::arena::LineMap<DirEntry>,
-    /// FIFO victimisation order; may lag `entries` with stale keys that
-    /// are skipped lazily at overflow time.
-    order: std::collections::VecDeque<u64>,
+    /// FIFO victimisation order as `(line, seq)` items. An item is live
+    /// only while `entries[line].seq == seq`; `clear`/`drop_line` leave
+    /// stale items behind, which overflow skips and `record` compacts away
+    /// once the queue exceeds `2 * capacity`.
+    order: std::collections::VecDeque<(u64, u64)>,
     capacity: usize,
+    next_seq: u64,
 }
 
 impl SnoopFilter {
@@ -111,11 +117,13 @@ impl SnoopFilter {
             entries: crate::arena::LineMap::new(),
             order: std::collections::VecDeque::new(),
             capacity: capacity.max(16),
+            next_seq: 0,
         }
     }
 
     /// Record that `core` now holds `line`. Returns a victim line whose
-    /// owners must be back-invalidated if the directory overflowed.
+    /// owners must be back-invalidated if the directory overflowed; the
+    /// victim is the entry whose latest insertion is oldest.
     // pflint::hot
     pub fn record(&mut self, line: u64, core: usize, dirty: bool) -> Option<(u64, u64)> {
         if let Some(e) = self.entries.get_mut(line) {
@@ -123,22 +131,30 @@ impl SnoopFilter {
             e.dirty |= dirty;
             return None;
         }
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.entries.insert(
             line,
             DirEntry {
                 owners: 1 << core,
                 dirty,
+                seq,
             },
         );
-        self.order.push_back(line);
+        self.order.push_back((line, seq));
+        if self.order.len() > 2 * self.capacity {
+            // At most `capacity + 1` items are live, so each compaction
+            // frees at least `capacity` slots: amortised O(1).
+            let entries = &self.entries;
+            self.order
+                .retain(|&(l, s)| entries.get(l).is_some_and(|e| e.seq == s));
+        }
         if self.entries.len() > self.capacity {
-            // FIFO victimisation; skip stale order entries.
-            while let Some(victim) = self.order.pop_front() {
-                if victim == line {
-                    self.order.push_back(victim);
-                    continue;
-                }
-                if let Some(e) = self.entries.remove(victim) {
+            // FIFO victimisation; skip stale items. The newest entry's
+            // item sits at the back, behind at least one other live item.
+            while let Some((victim, s)) = self.order.pop_front() {
+                if let Some(e) = self.entries.get(victim).filter(|e| e.seq == s) {
+                    self.entries.remove(victim);
                     return Some((victim, e.owners));
                 }
             }
@@ -210,15 +226,29 @@ impl Invariants for SnoopFilter {
             !ownerless,
             "ownerless directory entries present"
         );
-        // The FIFO order queue tracks at least every live entry (it may
-        // additionally hold stale keys awaiting lazy cleanup).
+        // FIFO order: exactly one live item per entry (seqs are unique,
+        // so a live count equal to the entry count means one each), and
+        // stale items never pile up beyond the compaction bound.
+        let live = self
+            .order
+            .iter()
+            .filter(|&&(l, s)| self.entries.get(l).is_some_and(|e| e.seq == s))
+            .count();
         invariant!(
             out,
             self.component(),
-            self.order.len() >= self.entries.len(),
-            "order queue lost entries: order={} entries={}",
-            self.order.len(),
+            live == self.entries.len(),
+            "order queue out of step: live items={} entries={}",
+            live,
             self.entries.len()
+        );
+        invariant!(
+            out,
+            self.component(),
+            self.order.len() <= 2 * self.capacity,
+            "order queue unbounded: order={} capacity={}",
+            self.order.len(),
+            self.capacity
         );
     }
 }
@@ -679,6 +709,41 @@ mod tests {
         }
         assert!(victims > 0);
         assert!(sf.len() <= 17);
+    }
+
+    #[test]
+    fn sf_order_stays_bounded_under_record_clear_churn() {
+        let mut sf = SnoopFilter::new(16);
+        for line in 0..1_000_000u64 {
+            sf.record(line, 0, false);
+            // Keep a few lines resident so compaction has live items too.
+            if line % 4 != 0 {
+                sf.clear(line, 0);
+            } else if line >= 64 {
+                sf.drop_line(line - 64);
+            }
+            assert!(sf.order.len() <= 2 * sf.capacity + 1, "line {line}");
+        }
+        let mut v = Vec::new();
+        sf.collect_violations(&mut v);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn sf_overflow_victimises_by_latest_insertion() {
+        let mut sf = SnoopFilter::new(16);
+        for line in 0..16 {
+            assert_eq!(sf.record(line, 0, false), None);
+        }
+        // Line 0 leaves and comes back: it is now the newest entry, so the
+        // oldest live insertion is line 1.
+        sf.clear(0, 0);
+        assert_eq!(sf.record(0, 1, false), None);
+        assert_eq!(sf.record(100, 0, false), Some((1, 0b1)));
+        assert_eq!(sf.probe(0), Some((0b10, false)));
+        let mut v = Vec::new();
+        sf.collect_violations(&mut v);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

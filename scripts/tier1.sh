@@ -47,6 +47,8 @@ echo "==> fig6_stall_breakdown --jobs 2 vs serial (byte-identical stdout)"
 ./target/release/fig6_stall_breakdown > "$obs_out/serial.txt"
 ./target/release/fig6_stall_breakdown --jobs 2 > "$obs_out/jobs2.txt"
 diff -u "$obs_out/serial.txt" "$obs_out/jobs2.txt"
+# Every fig6 run above rewrote its CSV golden; it must not have drifted.
+run git diff --exit-code crates/bench/out/fig6_stall_breakdown.csv
 
 # Fault-injection smoke (FAULTS.md): the fault-diagnosis figure runs its
 # fixed deterministic fault plans and the regenerated golden must be
