@@ -295,11 +295,6 @@ impl Materializer {
         let gini = (2.0 * weighted / (n as f64 * total)) - (n as f64 + 1.0) / n as f64;
         (n, gini.clamp(0.0, 1.0))
     }
-
-    /// Resident bytes of the record store (overhead accounting, §5.9).
-    pub fn footprint_bytes(&self) -> usize {
-        self.db.footprint_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -370,7 +365,7 @@ mod tests {
         m.ingest_path_map(0, &map, &[None]);
         let (mn, mx, mean) = m.scope_stats(0, HitLevel::L2).unwrap();
         assert_eq!((mn, mx, mean), (7.0, 7.0, 7.0));
-        assert!(m.footprint_bytes() > 0);
+        assert!(m.db.resident_bytes() > 0);
     }
 
     #[test]

@@ -410,20 +410,17 @@ impl Profiler {
         self.report()
     }
 
-    /// Real retained profiler state (§5.9): the time-series DB plus the
-    /// one PMU snapshot kept for the next epoch digest. Deterministic —
-    /// no clock involved — and mirrored into the `overhead.memory_bytes`
-    /// obs gauge whenever observability is on. The columnar store's real
-    /// heap (`tsdb::Db::resident_bytes`, allocator-side rather than the
-    /// logical §5.9 accounting) rides along as `tsdb.resident_bytes`, the
-    /// same gauge fleetd publishes on `/metrics`.
-    fn retained_bytes(&self) -> usize {
-        let bytes = self.materializer.footprint_bytes() + self.prev.footprint_bytes();
+    /// Retained profiler state (§5.9): the time-series DB's columnar heap
+    /// plus the one PMU snapshot kept for the next epoch digest.
+    /// Deterministic — no clock involved — and mirrored into the
+    /// `overhead.memory_bytes` obs gauge whenever observability is on. The
+    /// DB term alone is the `tsdb.resident_bytes` gauge, the same one
+    /// fleetd publishes on `/metrics`.
+    fn memory_bytes(&self) -> usize {
+        let tsdb = self.materializer.db.resident_bytes();
+        let bytes = tsdb + self.prev.footprint_bytes();
         obs::metrics::gauge_set("overhead.memory_bytes", bytes as f64);
-        obs::metrics::gauge_set(
-            "tsdb.resident_bytes",
-            self.materializer.db.resident_bytes() as f64,
-        );
+        obs::metrics::gauge_set("tsdb.resident_bytes", tsdb as f64);
         bytes
     }
 
@@ -431,7 +428,7 @@ impl Profiler {
     pub fn report(&self) -> Report {
         let cores = self.machine.config().cores;
         let mut overhead = self.overhead;
-        overhead.memory_bytes = self.retained_bytes();
+        overhead.memory_bytes = self.memory_bytes();
         Report {
             epochs: self.epoch,
             cycles: self.machine.now(),
@@ -463,7 +460,7 @@ impl Profiler {
     /// Current overhead accounting.
     pub fn overhead(&self) -> Overhead {
         let mut o = self.overhead;
-        o.memory_bytes = self.retained_bytes();
+        o.memory_bytes = self.memory_bytes();
         o
     }
 }
@@ -581,15 +578,16 @@ mod tests {
 
     #[test]
     fn memory_overhead_is_clock_free() {
-        // memory_bytes must be real retained state, present even with obs
-        // off (wall-time fields stay zero in that case).
+        // memory_bytes is the tsdb's columnar heap plus the retained PMU
+        // snapshot, present even with obs off (wall-time fields stay zero
+        // in that case).
         let mut p = profiler_with(MemPolicy::Local, 5_000);
         p.run(100);
         let o = p.report().overhead;
         assert!(o.memory_bytes > 0);
-        assert!(
-            o.memory_bytes >= p.materializer.footprint_bytes(),
-            "retained state must cover the tsdb"
+        assert_eq!(
+            o.memory_bytes,
+            p.materializer.db.resident_bytes() + p.prev.footprint_bytes()
         );
     }
 }

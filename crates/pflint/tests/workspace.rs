@@ -52,3 +52,31 @@ fn registry_round_trip_is_coherent() {
         assert_eq!(back.pmu, e.pmu, "bank drift for {}", e.name);
     }
 }
+
+#[test]
+fn every_configured_scan_path_exists() {
+    // The scanners skip a missing directory silently, so a stale entry
+    // would shrink coverage without a finding. Every configured root and
+    // rule target must name a real file or directory.
+    use pflint::*;
+    let root = workspace_root();
+    let mut paths: Vec<String> = determinism_config()
+        .iter()
+        .map(|c| c.rel_path.to_string())
+        .collect();
+    for roots in [
+        PMU_SCAN_ROOTS,
+        FAULT_PLAN_SCAN_ROOTS,
+        CONCURRENCY_ALLOWLIST,
+        PANIC_FREEDOM_ROOTS,
+        &[INVARIANT_SCAN_ROOT, MODULE_SCAN_ROOT, OBS_SCAN_ROOT],
+    ] {
+        paths.extend(roots.iter().map(|p| p.to_string()));
+    }
+    paths.push(format!("{OBS_SCAN_ROOT}/{OBS_CLOCK_FILE}"));
+    let missing: Vec<&String> = paths.iter().filter(|p| !root.join(p).exists()).collect();
+    assert!(
+        missing.is_empty(),
+        "configured scan paths missing: {missing:?}"
+    );
+}

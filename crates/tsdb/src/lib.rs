@@ -6,10 +6,10 @@
 //!
 //! * [`db::Db`] — an interned, columnar store: series are addressed by
 //!   [`db::SeriesId`] handles, strings by [`intern::Symbol`]s, and data
-//!   lives in per-series timestamp/field columns. The steady-state ingest
-//!   path ([`db::Db::ingest`]) is allocation-free (see PERFORMANCE.md).
-//! * [`point::Point`] — the row-oriented builder record, kept as a thin
-//!   compatibility shim over the columnar store ([`db::Db::insert`]).
+//!   lives in per-series timestamp/field columns. Its one ingest path,
+//!   [`db::Db::series_handle`] once then [`db::Db::ingest`] per record, is
+//!   allocation-free in steady state (see PERFORMANCE.md).
+//! * [`point::Point`] — the row type a query materialises.
 //! * [`query::Query`] — a small Flux-like builder
 //!   (`from("path_set").filter("path.dst","LLC").range(a,b)`).
 //! * [`ops`] — `min`/`max`/`mean`/`sum`/`moving_average`/`rate` operators.

@@ -1,11 +1,9 @@
 //! Records: a measurement name, a timestamp, tags, and numeric fields.
 //!
-//! `Point` is the row-oriented builder API — a compatibility shim over the
-//! columnar store in [`crate::db`]. Cold call sites build one `Point` per
-//! record; hot per-epoch loops should resolve a [`crate::SeriesId`] once
-//! and use [`crate::Db::ingest`] instead (no string formatting per
-//! record). [`Point::retained_bytes`] remains the unit of the §5.9
-//! logical footprint accounting either way.
+//! `Point` is the row type [`crate::Query::points`] materialises from the
+//! columnar store. Data goes in through [`crate::Db::series_handle`] and
+//! [`crate::Db::ingest`]; the builder methods here only assemble rows,
+//! e.g. the expected rows of a test.
 
 use std::collections::BTreeMap;
 
@@ -40,25 +38,6 @@ impl Point {
     pub fn field(mut self, key: impl Into<String>, value: f64) -> Point {
         self.fields.insert(key.into(), value);
         self
-    }
-
-    /// Resident bytes of this record: the struct itself plus every owned
-    /// heap allocation (string contents and per-entry map nodes). This is
-    /// the per-point term of the §5.9 retained-memory accounting.
-    pub fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Point>()
-            + self.measurement.len()
-            + self
-                .tags
-                .iter()
-                .map(|(k, v)| size_of::<(String, String)>() + k.len() + v.len())
-                .sum::<usize>()
-            + self
-                .fields
-                .keys()
-                .map(|k| size_of::<(String, f64)>() + k.len())
-                .sum::<usize>()
     }
 
     /// The series key: measurement plus the sorted tag set.

@@ -6,9 +6,10 @@
 //! The equivalent here:
 //!
 //! ```
-//! use tsdb::{Db, Point};
+//! use tsdb::Db;
 //! let mut db = Db::new();
-//! db.insert(Point::new("path_set", 5).tag("pid", "7").tag("dst", "LLC").field("hits", 3.0));
+//! let h = db.series_handle("path_set", &[("pid", "7"), ("dst", "LLC")], &["hits"]);
+//! db.ingest(h, 5, &[3.0]);
 //! let series = db.from("path_set").filter("pid", "7").filter("dst", "LLC").values("hits");
 //! assert_eq!(series, vec![(5, 3.0)]);
 //! ```
@@ -78,7 +79,7 @@ impl<'a> Query<'a> {
         out
     }
 
-    /// Materialise one field as a `(ts, value)` series, time-sorted; points
+    /// Materialise one field as a `(ts, value)` series, time-sorted; series
     /// lacking the field are skipped.
     pub fn values(self, field: &str) -> Vec<(u64, f64)> {
         let _span = obs::span!("tsdb.query");
@@ -116,13 +117,10 @@ mod tests {
 
     fn db() -> Db {
         let mut db = Db::new();
+        let pid7 = db.series_handle("path_set", &[("pid", "7"), ("dst", "LLC")], &["hits"]);
+        let pid8 = db.series_handle("path_set", &[("pid", "8"), ("dst", "LLC")], &["hits"]);
         for t in 0..20u64 {
-            db.insert(
-                Point::new("path_set", t)
-                    .tag("pid", if t % 2 == 0 { "7" } else { "8" })
-                    .tag("dst", "LLC")
-                    .field("hits", t as f64),
-            );
+            db.ingest(if t % 2 == 0 { pid7 } else { pid8 }, t, &[t as f64]);
         }
         db
     }
@@ -164,9 +162,10 @@ mod tests {
     #[test]
     fn values_are_time_sorted() {
         let mut d = Db::new();
-        d.insert(Point::new("m", 30).field("x", 3.0));
-        d.insert(Point::new("m", 10).field("x", 1.0));
-        d.insert(Point::new("m", 20).field("x", 2.0));
+        let h = d.series_handle("m", &[], &["x"]);
+        d.ingest(h, 30, &[3.0]);
+        d.ingest(h, 10, &[1.0]);
+        d.ingest(h, 20, &[2.0]);
         let v = d.from("m").values("x");
         assert_eq!(v, vec![(10, 1.0), (20, 2.0), (30, 3.0)]);
     }
@@ -177,10 +176,11 @@ mod tests {
         // of order must still answer every query shape in time order, and
         // tied timestamps must keep insertion order (stable sort).
         let mut d = Db::new();
-        d.insert(Point::new("m", 50).tag("core", "0").field("x", 5.0));
-        d.insert(Point::new("m", 10).tag("core", "0").field("x", 1.0));
-        d.insert(Point::new("m", 50).tag("core", "0").field("x", 5.5));
-        d.insert(Point::new("m", 30).tag("core", "0").field("x", 3.0));
+        let h = d.series_handle("m", &[("core", "0")], &["x"]);
+        d.ingest(h, 50, &[5.0]);
+        d.ingest(h, 10, &[1.0]);
+        d.ingest(h, 50, &[5.5]);
+        d.ingest(h, 30, &[3.0]);
         assert_eq!(
             d.from("m").values("x"),
             vec![(10, 1.0), (30, 3.0), (50, 5.0), (50, 5.5)]
@@ -196,12 +196,14 @@ mod tests {
     #[test]
     fn tied_timestamps_across_series_surface_in_key_order() {
         // Two series, same timestamps: the merge must order ties by series
-        // key ("core=0" before "core=1"), exactly like the row store's
-        // key-ordered scan + stable sort.
+        // key ("core=0" before "core=1"), exactly like a key-ordered scan
+        // followed by a stable sort.
         let mut d = Db::new();
+        let core1 = d.series_handle("m", &[("core", "1")], &["x"]);
+        let core0 = d.series_handle("m", &[("core", "0")], &["x"]);
         for t in [100u64, 200] {
-            d.insert(Point::new("m", t).tag("core", "1").field("x", 1.0));
-            d.insert(Point::new("m", t).tag("core", "0").field("x", 0.0));
+            d.ingest(core1, t, &[1.0]);
+            d.ingest(core0, t, &[0.0]);
         }
         assert_eq!(
             d.from("m").values("x"),
@@ -211,16 +213,21 @@ mod tests {
 
     #[test]
     fn missing_field_rows_are_skipped() {
+        // Only the series that declares `x` contributes to `values("x")`.
         let mut d = Db::new();
-        d.insert(Point::new("m", 1).field("x", 1.0));
-        d.insert(Point::new("m", 2).field("y", 9.0));
-        assert_eq!(d.from("m").values("x").len(), 1);
+        let hx = d.series_handle("m", &[("core", "0")], &["x"]);
+        let hy = d.series_handle("m", &[("core", "1")], &["y"]);
+        d.ingest(hx, 1, &[1.0]);
+        d.ingest(hy, 2, &[9.0]);
+        assert_eq!(d.from("m").values("x"), vec![(1, 1.0)]);
+        assert_eq!(d.from("m").points().len(), 2);
     }
 
     #[test]
     fn missing_tag_never_matches() {
         let mut d = Db::new();
-        d.insert(Point::new("m", 1).field("x", 1.0));
+        let h = d.series_handle("m", &[], &["x"]);
+        d.ingest(h, 1, &[1.0]);
         assert_eq!(d.from("m").filter("core", "0").count(), 0);
     }
 }

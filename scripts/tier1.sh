@@ -69,13 +69,11 @@ echo "==> fig14_fabric --jobs 2 vs serial (byte-identical stdout)"
 ./target/release/fig14_fabric --jobs 2 > "$obs_out/fabric_jobs2.txt"
 diff -u "$obs_out/fabric_serial.txt" "$obs_out/fabric_jobs2.txt"
 
-# Perf gate (PERFORMANCE.md): BENCH_pr10.json must exist and its recorded
-# profiled throughput must not regress below the PR 9 baseline. The gate
-# reads the committed files — it does not re-measure — so it catches a
-# forgotten `scripts/bench.sh` run after perf-relevant changes. Wall-clock
-# A/B comparisons against the parent commit are the benchmark's job
-# (benchmark/README.md); this gate only catches a stale results file.
-run cargo run --release -p bench --bin perfbench -- --gate BENCH_pr9.json
+# Profiler-overhead golden (EXPERIMENTS.md): the epoch-granularity sweep
+# reports records and resident profiler memory, both clock-free, so its
+# regenerated CSV must be byte-identical to the committed one.
+run cargo run --release -p bench --bin ablation_epoch
+run git diff --exit-code crates/bench/out/ablation_epoch.csv
 
 # Fleet-mode smoke (FLEET.md): a small sharded fleet serves a live
 # /metrics scrape whose Prometheus exposition validates (TYPE lines,
