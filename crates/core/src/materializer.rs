@@ -48,34 +48,30 @@ impl Materializer {
         {
             return;
         }
-        let dummy = self.db.series_handle("path_set", &[], &[]);
-        let mut path_set = vec![[[dummy; PathGroup::COUNT]; HitLevel::COUNT]; cores];
+        let db = &mut self.db;
+        let mut path_set = Vec::with_capacity(cores);
         let mut progress = Vec::with_capacity(cores);
-        for (core, row) in path_set.iter_mut().enumerate() {
+        for core in 0..cores {
             let core_s = core.to_string();
             let app = apps
                 .get(core)
                 .and_then(|a| a.as_deref())
                 .unwrap_or_default();
-            for l in HitLevel::ALL {
-                for p in PathGroup::ALL {
-                    row[l.idx()][p.idx()] = self.db.series_handle(
+            path_set.push(std::array::from_fn(|l| {
+                std::array::from_fn(|p| {
+                    db.series_handle(
                         "path_set",
                         &[
                             ("core", &core_s),
                             ("app", app),
-                            ("path", p.label()),
-                            ("dst", l.label()),
+                            ("path", PathGroup::ALL[p].label()),
+                            ("dst", HitLevel::ALL[l].label()),
                         ],
                         &["hits"],
-                    );
-                }
-            }
-            progress.push(self.db.series_handle(
-                "app",
-                &[("core", &core_s), ("app", app)],
-                &["ops"],
-            ));
+                    )
+                })
+            }));
+            progress.push(db.series_handle("app", &[("core", &core_s), ("app", app)], &["ops"]));
         }
         self.app_handles = Some(AppHandles {
             apps: apps.to_vec(),
@@ -112,18 +108,19 @@ impl Materializer {
     // pflint::hot
     pub fn ingest_queues(&mut self, ts: u64, q: &crate::analyzer::QueueEstimate) {
         if self.vertex_handles.is_none() {
-            let dummy = self.db.series_handle("vertex", &[], &[]);
-            let mut grid = [[dummy; Component::COUNT]; PathGroup::COUNT];
-            for p in PathGroup::ALL {
-                for c in Component::ALL {
-                    grid[p.idx()][c.idx()] = self.db.series_handle(
+            let db = &mut self.db;
+            self.vertex_handles = Some(std::array::from_fn(|p| {
+                std::array::from_fn(|c| {
+                    db.series_handle(
                         "vertex",
-                        &[("path", p.label()), ("hw", c.label())],
+                        &[
+                            ("path", PathGroup::ALL[p].label()),
+                            ("hw", Component::ALL[c].label()),
+                        ],
                         &["queue"],
-                    );
-                }
-            }
-            self.vertex_handles = Some(grid);
+                    )
+                })
+            }));
         }
         let Materializer {
             db, vertex_handles, ..
@@ -158,25 +155,11 @@ impl Materializer {
     /// The hit series of one (core, level) scope across all snapshots —
     /// PathFinder's "query scope" step.
     pub fn hit_series(&self, core: usize, level: HitLevel) -> Vec<(u64, f64)> {
-        let per_path: Vec<Vec<(u64, f64)>> = PathGroup::ALL
-            .iter()
-            .map(|p| {
-                self.db
-                    .from("path_set")
-                    .filter("core", core.to_string())
-                    .filter("dst", level.label())
-                    .filter("path", p.label())
-                    .values("hits")
-            })
-            .collect();
-        // Sum per timestamp across paths.
-        let mut acc: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-        for series in per_path {
-            for (ts, v) in series {
-                *acc.entry(ts).or_insert(0.0) += v;
-            }
-        }
-        acc.into_iter().collect()
+        self.db
+            .from("path_set")
+            .filter("core", core.to_string())
+            .filter("dst", level.label())
+            .sum_by_time("hits")
     }
 
     /// Phase windows of consistent locality for a (core, level) scope —
@@ -197,17 +180,7 @@ impl Materializer {
     /// overlapping snapshots (Case 6: identify locality-impacting factors
     /// from co-located applications).
     pub fn correlate_cores(&self, a: usize, b: usize, level: HitLevel) -> Option<f64> {
-        let sa = self.hit_series(a, level);
-        let sb = self.hit_series(b, level);
-        let mb: std::collections::BTreeMap<u64, f64> = sb.into_iter().collect();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for (ts, v) in sa {
-            if let Some(&w) = mb.get(&ts) {
-                xs.push(v);
-                ys.push(w);
-            }
-        }
+        let (xs, ys) = ops::join(&self.hit_series(a, level), &self.hit_series(b, level));
         tsa::pearsonr(&xs, &ys)
     }
 
@@ -254,16 +227,7 @@ impl Materializer {
     /// contend (r < 0)? Pearson correlation of the two cores' per-epoch ops
     /// on the overlapping snapshots.
     pub fn orthogonality(&self, a: usize, b: usize) -> Option<f64> {
-        let sa = self.ops_series(a);
-        let mb: std::collections::BTreeMap<u64, f64> = self.ops_series(b).into_iter().collect();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for (ts, v) in sa {
-            if let Some(&w) = mb.get(&ts) {
-                xs.push(v);
-                ys.push(w);
-            }
-        }
+        let (xs, ys) = ops::join(&self.ops_series(a), &self.ops_series(b));
         tsa::pearsonr(&xs, &ys)
     }
 
@@ -331,6 +295,24 @@ mod tests {
         map.per_core[0].hits[HitLevel::CxlMemory.idx()][PathGroup::HwPf.idx()] = 30;
         m.ingest_path_map(0, &map, &[None]);
         assert_eq!(m.hit_series(0, HitLevel::CxlMemory), vec![(0, 40.0)]);
+    }
+
+    #[test]
+    fn handle_grids_create_no_placeholder_series() {
+        // Every series the ingest paths resolve carries fields and tags; an
+        // untagged `path_set`/`vertex` series is free for a caller to
+        // declare with its own fields.
+        let mut m = Materializer::new();
+        let map = map_with(0, HitLevel::L2, PathGroup::Drd, 5, 1);
+        m.ingest_path_map(0, &map, &[None]);
+        m.ingest_progress(0, &[9], &[None]);
+        let mut q = crate::analyzer::QueueEstimate::default();
+        q.q[PathGroup::Drd.idx()][Component::L1d.idx()] = 1.5;
+        m.ingest_queues(0, &q);
+        let h = m.db.series_handle("path_set", &[], &["hits"]);
+        m.db.ingest(h, 0, &[1.0]);
+        m.db.series_handle("vertex", &[], &["queue"]);
+        assert_eq!(m.db.n_series(), 4);
     }
 
     #[test]

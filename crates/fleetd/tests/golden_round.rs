@@ -24,7 +24,7 @@ fn run_fixed_fleet() -> String {
     let cfg = FleetConfig {
         hosts: 5,
         shards: 2,
-        seed: 0x901D_E4,
+        seed: 0x90_1DE4,
         epochs_per_round: 2,
         retention_rounds: 0,
         record_streams: true,

@@ -78,6 +78,35 @@ impl Rows {
             Rows::Perm(p) => p.len(),
         }
     }
+
+    /// The row index at position `k` of the time order.
+    fn row(&self, k: usize) -> usize {
+        match self {
+            Rows::Sorted(r) => r.start + k,
+            Rows::Perm(p) => p[k] as usize,
+        }
+    }
+}
+
+/// One series' field column walked in time order: the merge input of
+/// [`Db::sum_by_time`].
+struct Cursor<'a> {
+    ts: &'a [u64],
+    values: &'a [f64],
+    rows: Rows,
+    next: usize,
+}
+
+impl Cursor<'_> {
+    fn peek_ts(&self) -> Option<u64> {
+        (self.next < self.rows.count()).then(|| self.ts[self.rows.row(self.next)])
+    }
+
+    fn take_value(&mut self) -> f64 {
+        let v = self.values[self.rows.row(self.next)];
+        self.next += 1;
+        v
+    }
 }
 
 /// An in-memory time-series database.
@@ -374,6 +403,43 @@ impl Db {
         self.rows_in(id, range)
             .for_each(|i| out.push((s.ts[i], col.values[i])));
         out.len() > before
+    }
+
+    /// [`Query::sum_by_time`] over `ids` (in key order): a k-way merge of
+    /// their time-ordered rows. It allocates the cursor list, the output
+    /// and any out-of-order series' permutation, never per point.
+    pub(crate) fn sum_by_time(
+        &self,
+        ids: &[SeriesId],
+        field: Symbol,
+        range: Option<(u64, u64)>,
+    ) -> Vec<(u64, f64)> {
+        let mut cursors: Vec<Cursor<'_>> = ids
+            .iter()
+            .filter_map(|&id| {
+                let s = &self.series[id.index()];
+                let col = s.cols.iter().find(|c| c.name == field)?;
+                Some(Cursor {
+                    ts: &s.ts,
+                    values: &col.values,
+                    rows: self.rows_in(id, range),
+                    next: 0,
+                })
+            })
+            .collect();
+        // At most one output row per input row: no growth while merging.
+        let mut out = Vec::with_capacity(cursors.iter().map(|c| c.rows.count()).sum());
+        while let Some(t) = cursors.iter().filter_map(Cursor::peek_ts).min() {
+            let mut sum = 0.0;
+            for c in &mut cursors {
+                while c.peek_ts() == Some(t) {
+                    sum += c.take_value();
+                }
+            }
+            out.push((t, sum));
+        }
+        out.shrink_to_fit();
+        out
     }
 
     /// Reconstruct one series' rows as [`Point`]s in time order, appended

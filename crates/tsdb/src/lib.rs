@@ -11,8 +11,10 @@
 //!   allocation-free in steady state (see PERFORMANCE.md).
 //! * [`point::Point`] — the row type a query materialises.
 //! * [`query::Query`] — a small Flux-like builder
-//!   (`from("path_set").filter("path.dst","LLC").range(a,b)`).
-//! * [`ops`] — `min`/`max`/`mean`/`sum`/`moving_average`/`rate` operators.
+//!   (`from("path_set").filter("path.dst","LLC").range(a,b)`), ending in
+//!   `points`, `values`, `count` or the per-timestamp `sum_by_time`.
+//! * [`ops`] — `min`/`max`/`mean`/`sum`/`moving_average`/`rate` operators
+//!   and the two-pointer timestamp `join`.
 //! * [`tsa`] — Holt-Winters forecasting (`holtWinters()`), Pearson
 //!   correlation (`pearsonr()`), and the window-clustering step PathFinder
 //!   uses to find phases of consistent data locality.

@@ -1,6 +1,7 @@
 //! Aggregation operators over `(ts, value)` series — the `min()`, `max()`,
 //! `avg()`, `movingAverage()` operators PFMaterializer's workflow uses
-//! (§4.6, step 2).
+//! (§4.6, step 2) — and [`join`], the timestamp join its cross-series
+//! correlations run on.
 
 /// Minimum value, `None` on an empty series.
 pub fn min(series: &[(u64, f64)]) -> Option<f64> {
@@ -72,6 +73,30 @@ pub fn rate(series: &[(u64, f64)]) -> Vec<(u64, f64)> {
         .collect()
 }
 
+/// Inner join of two time-sorted series on timestamp (Flux `join(on:
+/// ["_time"])`): `(xs, ys)` pair each point of `a`, in `a`'s order, with
+/// the point of `b` at the same timestamp — the last one when `b` repeats
+/// a timestamp. One two-pointer pass, O(|a| + |b|).
+pub fn join(a: &[(u64, f64)], b: &[(u64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    debug_assert!(a.is_sorted_by_key(|p| p.0) && b.is_sorted_by_key(|p| p.0));
+    let mut xs = Vec::with_capacity(a.len().min(b.len()));
+    let mut ys = Vec::with_capacity(xs.capacity());
+    let mut j = 0;
+    for &(ts, v) in a {
+        while j < b.len() && b[j].0 < ts {
+            j += 1;
+        }
+        while j + 1 < b.len() && b[j + 1].0 == ts {
+            j += 1;
+        }
+        if j < b.len() && b[j].0 == ts {
+            xs.push(v);
+            ys.push(b[j].1);
+        }
+    }
+    (xs, ys)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,6 +157,15 @@ mod tests {
     fn rate_skips_duplicate_timestamps() {
         let v = vec![(5u64, 1.0), (5, 2.0), (6, 3.0)];
         assert_eq!(rate(&v).len(), 1);
+    }
+
+    #[test]
+    fn join_keeps_a_order_and_the_last_b_duplicate() {
+        let a = vec![(1u64, 10.0), (2, 20.0), (2, 21.0), (4, 40.0), (6, 60.0)];
+        let b = vec![(0u64, 0.5), (2, 2.0), (2, 2.5), (3, 3.0), (4, 4.0)];
+        assert_eq!(join(&a, &b), (vec![20.0, 21.0, 40.0], vec![2.5, 2.5, 4.0]));
+        assert_eq!(join(&a, &[]), (vec![], vec![]));
+        assert_eq!(join(&[], &b), (vec![], vec![]));
     }
 
     #[test]

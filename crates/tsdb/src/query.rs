@@ -22,6 +22,15 @@
 //! more than one series contributes, a final stable sort merges them, so
 //! tied timestamps surface in series-key order exactly as the row store
 //! did.
+//!
+//! [`Query::sum_by_time`] aggregates instead of materialising: it merges
+//! the matching series' time-ordered columns (out-of-order series through
+//! the same stable permutation) and folds each timestamp's rows —
+//! series-key order, then stable time order — into one sum. That costs
+//! `O(n + d·k)` for `n` rows over `k` series with `d` distinct timestamps,
+//! linear when the series share a time grid, with no map and no per-point
+//! allocation. [`crate::ops::join`] pairs two such results on timestamp in
+//! one two-pointer pass.
 
 use crate::db::{Db, SeriesId};
 use crate::point::Point;
@@ -98,6 +107,21 @@ impl<'a> Query<'a> {
             out.sort_by_key(|&(ts, _)| ts);
         }
         out
+    }
+
+    /// Sum one field per distinct timestamp over every matching series
+    /// (Flux `group() |> sum()` per `_time`): one `(ts, sum)` per
+    /// timestamp, in time order. Ties — across series and inside one
+    /// series — are summed from 0.0 in series-key order, each series' rows
+    /// in stable time order, so the result equals folding [`Query::values`]
+    /// into a per-timestamp map.
+    pub fn sum_by_time(self, field: &str) -> Vec<(u64, f64)> {
+        let _span = obs::span!("tsdb.query");
+        obs::metrics::counter_add("tsdb.queries", 1);
+        let Some(sym) = self.db.field_symbol(field) else {
+            return Vec::new();
+        };
+        self.db.sum_by_time(&self.series(), sym, self.range)
     }
 
     /// Count matching points.
@@ -209,6 +233,29 @@ mod tests {
             d.from("m").values("x"),
             vec![(100, 0.0), (100, 1.0), (200, 0.0), (200, 1.0)]
         );
+    }
+
+    #[test]
+    fn sum_by_time_folds_ties_across_and_inside_series() {
+        let mut d = Db::new();
+        let core0 = d.series_handle("m", &[("core", "0")], &["x"]);
+        let core1 = d.series_handle("m", &[("core", "1")], &["x"]);
+        d.ingest(core0, 10, &[1.0]);
+        d.ingest(core0, 20, &[2.0]);
+        d.ingest(core0, 20, &[3.0]);
+        d.ingest(core1, 20, &[4.0]);
+        d.ingest(core1, 30, &[5.0]);
+        d.ingest(core1, 5, &[6.0]); // out of order: the permutation path
+        assert_eq!(
+            d.from("m").sum_by_time("x"),
+            vec![(5, 6.0), (10, 1.0), (20, 9.0), (30, 5.0)]
+        );
+        assert_eq!(
+            d.from("m").range(10, 30).sum_by_time("x"),
+            vec![(10, 1.0), (20, 9.0)]
+        );
+        assert!(d.from("m").sum_by_time("y").is_empty());
+        assert!(d.from("m").filter("core", "2").sum_by_time("x").is_empty());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! handles resolved and capacity reserved, a batch of [`tsdb::Db::ingest`]
 //! calls must hit the global allocator exactly zero times. This is the
 //! tentpole guarantee of the columnar store (see PERFORMANCE.md) and the
-//! runtime counterpart of pflint's `ingest-hot-path` rule.
+//! runtime counterpart of pflint's `ingest-hot-path` rule. The query side
+//! gets a weaker but still deterministic bound: `Query::sum_by_time`
+//! allocates a fixed number of times, whatever the number of points.
 //!
 //! Counters are thread-local (const-initialized TLS, so reading them never
 //! allocates): the libtest harness runs its own threads, and a process-
@@ -85,4 +87,45 @@ fn steady_state_ingest_performs_zero_allocations() {
         r1 - r0
     );
     assert_eq!(db.len(), EPOCHS * handles.len());
+}
+
+/// Allocations and reallocations of one `sum_by_time` over the path grid
+/// of one (core, dst) scope — four series sharing `rows` timestamps.
+fn sum_by_time_allocs(rows: usize) -> (u64, u64) {
+    let mut db = Db::new();
+    let handles: Vec<_> = ["DRd", "RFO", "HW PF", "SW PF"]
+        .iter()
+        .map(|p| {
+            db.series_handle(
+                "path_set",
+                &[("core", "0"), ("path", p), ("dst", "LLC")],
+                &["hits"],
+            )
+        })
+        .collect();
+    for t in 0..rows as u64 {
+        for (i, &id) in handles.iter().enumerate() {
+            db.ingest(id, t * 10, &[(t + i as u64) as f64]);
+        }
+    }
+    let (a0, r0) = alloc_count();
+    let sums = db
+        .from("path_set")
+        .filter("core", "0")
+        .filter("dst", "LLC")
+        .sum_by_time("hits");
+    let (a1, r1) = alloc_count();
+    assert_eq!(sums.len(), rows);
+    (a1 - a0, r1 - r0)
+}
+
+#[test]
+fn sum_by_time_allocations_do_not_grow_with_points() {
+    let small = sum_by_time_allocs(1_000);
+    let large = sum_by_time_allocs(10_000);
+    assert_eq!(
+        small, large,
+        "sum_by_time must allocate O(series), not O(points): \
+         (allocs, reallocs) {small:?} at 1 000 rows vs {large:?} at 10 000"
+    );
 }

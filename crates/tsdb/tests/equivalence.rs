@@ -5,9 +5,15 @@
 //! semantics of `tests/edge_cases.rs`: half-open `[start, stop)` ranges,
 //! reversed ranges match nothing, and query rows ordered by timestamp with
 //! ties broken by canonical series-key order.
+//!
+//! The analysis primitives are checked the same way: `Query::sum_by_time`
+//! against a `BTreeMap` fold of the model's rows, and `ops::join` against
+//! a `BTreeMap` lookup.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tsdb::{Db, Point};
+use tsdb::{ops, Db, Point};
 
 /// Each measurement's fixed field set: every series of a measurement
 /// declares the same columns, so every row carries all of them.
@@ -195,6 +201,103 @@ proptest! {
                     .filter_map(|p| p.fields.get(f).map(|&v| (p.ts, v)))
                     .collect();
                 prop_assert_eq!(got, want);
+            }
+        }
+    }
+}
+
+/// `sum_by_time` oracle: fold the model's query rows (key order, then
+/// stable time order) into a per-timestamp map, from 0.0.
+fn sum_oracle(rows: &[Point], field: &str) -> Vec<(u64, f64)> {
+    let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+    for p in rows {
+        if let Some(&v) = p.fields.get(field) {
+            *acc.entry(p.ts).or_insert(0.0) += v;
+        }
+    }
+    acc.into_iter().collect()
+}
+
+/// `ops::join` oracle: look each point of `a` up in a map of `b` (the last
+/// duplicate of a timestamp wins, as a map insert would have it).
+fn join_oracle(a: &[(u64, f64)], b: &[(u64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    let mb: BTreeMap<u64, f64> = b.iter().copied().collect();
+    a.iter()
+        .filter_map(|&(ts, v)| mb.get(&ts).map(|&w| (v, w)))
+        .unzip()
+}
+
+/// Bit patterns, so the comparison also pins the summation order.
+fn bits(series: &[(u64, f64)]) -> Vec<(u64, u64)> {
+    series.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Several series per scope (paths × two `app` labels per core),
+    /// timestamps that repeat inside and across series, occasional
+    /// back-dated rows (out-of-order series), windowed and unwindowed
+    /// queries, and a core no row ever names (an empty scope).
+    #[test]
+    fn sum_by_time_and_join_match_btreemap_oracles(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u8..2, 0u8..3, 0u8..16, 0u64..400, 0u64..1_000),
+            0..160,
+        ),
+        q_start in 0u64..80,
+        q_span in 0u64..100,
+    ) {
+        let mut db = Db::new();
+        let mut model = ModelDb::default();
+        for (i, &(core, app, path, back, back_ts, v)) in ops.iter().enumerate() {
+            // Mostly a shared, non-decreasing grid with duplicates; one row
+            // in sixteen is back-dated.
+            let ts = if back == 0 { back_ts % 60 } else { i as u64 / 2 };
+            let (core, app, path) = (core.to_string(), ["a", "b"][app as usize], path.to_string());
+            let tags = [("core", core.as_str()), ("app", app), ("path", path.as_str())];
+            // Non-integer values: only an identical summation order gives
+            // identical bits.
+            let value = v as f64 * 0.1;
+            let id = db.series_handle("path_set", &tags, &["hits"]);
+            db.ingest(id, ts, &[value]);
+            let mut p = Point::new("path_set", ts).field("hits", value);
+            for (k, v) in tags {
+                p = p.tag(k, v);
+            }
+            model.insert(p);
+        }
+
+        let (start, stop) = (q_start, q_start.saturating_add(q_span));
+        for core in ["0", "1", "2", "3"] {
+            let filters = vec![("core".to_string(), core.to_string())];
+            let got = db.from("path_set").filter("core", core).sum_by_time("hits");
+            let want = sum_oracle(&model.query("path_set", &filters, 0, u64::MAX), "hits");
+            prop_assert_eq!(bits(&got), bits(&want));
+            let got = db
+                .from("path_set")
+                .filter("core", core)
+                .range(start, stop)
+                .sum_by_time("hits");
+            let want = sum_oracle(&model.query("path_set", &filters, start, stop), "hits");
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert!(db.from("path_set").filter("core", core).sum_by_time("nope").is_empty());
+        }
+        let got = db.from("path_set").filter("app", "a").sum_by_time("hits");
+        let filters = vec![("app".to_string(), "a".to_string())];
+        let want = sum_oracle(&model.query("path_set", &filters, 0, u64::MAX), "hits");
+        prop_assert_eq!(bits(&got), bits(&want));
+
+        // Join every pair of scopes: summed (distinct timestamps) and raw
+        // `values` (duplicate timestamps on either side).
+        for a in ["0", "1", "3"] {
+            for b in ["0", "1", "2", "3"] {
+                let sa = db.from("path_set").filter("core", a).sum_by_time("hits");
+                let sb = db.from("path_set").filter("core", b).sum_by_time("hits");
+                prop_assert_eq!(ops::join(&sa, &sb), join_oracle(&sa, &sb));
+                let va = db.from("path_set").filter("core", a).values("hits");
+                let vb = db.from("path_set").filter("core", b).values("hits");
+                prop_assert_eq!(ops::join(&va, &vb), join_oracle(&va, &vb));
             }
         }
     }

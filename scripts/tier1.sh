@@ -19,7 +19,7 @@ run cargo test -q
 run cargo build --release --manifest-path benchmark/Cargo.toml
 run cargo test -q --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
-run cargo clippy --workspace -- -D warnings
+run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run --release -p pflint
 
 # Static-analysis regression gate (STATIC_ANALYSIS.md): the JSON findings
